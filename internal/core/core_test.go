@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -466,32 +467,57 @@ func TestEviction(t *testing.T) {
 }
 
 // fakeLoader simulates the backing database of a write-around deployment
-// (§2, §3.3): loads complete asynchronously via LoadComplete.
+// (§2, §3.3): it records each StartLoad, and the test lands or fails the
+// loads explicitly, in any order. A landed load serves data as it stands
+// at completion time, like a fetch that reads after every earlier write.
 type fakeLoader struct {
-	e       *Engine
-	data    map[string]string
-	pending []func()
-	loads   int
+	e     *Engine
+	data  map[string]string
+	reqs  []loadReq // outstanding loads, in start order
+	loads int
+}
+
+// loadReq is one StartLoad call.
+type loadReq struct {
+	table string
+	r     keys.Range
 }
 
 func (f *fakeLoader) StartLoad(table string, r keys.Range) {
 	f.loads++
-	f.pending = append(f.pending, func() {
-		var kvs []KV
-		for k, v := range f.data {
-			if keys.Table(k) == table && r.Contains(k) {
-				kvs = append(kvs, KV{k, v})
-			}
-		}
-		f.e.LoadComplete(table, r, kvs)
-	})
+	f.reqs = append(f.reqs, loadReq{table, r})
 }
 
+// complete lands outstanding load i.
+func (f *fakeLoader) complete(i int) {
+	q := f.take(i)
+	var kvs []KV
+	for k, v := range f.data {
+		if keys.Table(k) == q.table && q.r.Contains(k) {
+			kvs = append(kvs, KV{k, v})
+		}
+	}
+	sort.Slice(kvs, func(a, b int) bool { return kvs[a].Key < kvs[b].Key })
+	f.e.LoadComplete(q.table, q.r, kvs)
+}
+
+// fail abandons outstanding load i.
+func (f *fakeLoader) fail(i int) {
+	q := f.take(i)
+	f.e.LoadFailed(q.table, q.r)
+}
+
+func (f *fakeLoader) take(i int) loadReq {
+	q := f.reqs[i]
+	f.reqs = append(f.reqs[:i], f.reqs[i+1:]...)
+	return q
+}
+
+// drain lands every outstanding load, including any started while
+// landing the earlier ones.
 func (f *fakeLoader) drain() {
-	p := f.pending
-	f.pending = nil
-	for _, fn := range p {
-		fn()
+	for len(f.reqs) > 0 {
+		f.complete(0)
 	}
 }
 

@@ -93,6 +93,7 @@ type Stats struct {
 	BoundedStaleServes         int64 // within-budget staleness served by bounded reads
 	Evictions                  int64
 	LoadsStarted               int64 // §3.3 async base-data fetches
+	LoadRestarts               int64 // restart contexts released by landed or failed loads
 	NotifiedChanges            int64
 }
 
@@ -115,6 +116,7 @@ func (s *Stats) Add(o Stats) {
 	s.BoundedStaleServes += o.BoundedStaleServes
 	s.Evictions += o.Evictions
 	s.LoadsStarted += o.LoadsStarted
+	s.LoadRestarts += o.LoadRestarts
 	s.NotifiedChanges += o.NotifiedChanges
 }
 
@@ -130,7 +132,8 @@ type Engine struct {
 
 	presence map[string]*presenceTable // loader-backed base tables
 	loader   BaseLoader
-	loadGen  int64 // increments on every LoadComplete, for waiters
+	loadGen  int64         // increments on every landed or failed load, for blocked readers
+	waiters  []*JoinStatus // statuses holding restart contexts; see releaseWaiters
 
 	onChange func(Change)
 

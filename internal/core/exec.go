@@ -30,6 +30,15 @@ type exec struct {
 	missing    int  // count of base-data loads started
 }
 
+// discovering reports whether a forward or delta execution has found
+// missing data. Its status will be recomputed from scratch once the
+// loads land, so from here on the execution only discovers the rest of
+// the round's missing ranges: it keeps calling ensureSource, but emits
+// no outputs, flushes no aggregates, installs no updaters and skips the
+// last source's scan. A cold result is thus materialized once, after
+// its data has arrived. Pull executions fill their overlay regardless.
+func (ex *exec) discovering() bool { return ex.missing > 0 && ex.overlay == nil }
+
 // aggState folds one output group for count/sum/min/max.
 type aggState struct {
 	op  join.Op
@@ -110,7 +119,7 @@ func (e *Engine) forwardExec(ij *installedJoin, gap keys.Range) (pending int) {
 	if ex.missing > 0 {
 		// Restart context (§3.3): fetches are in flight; the status
 		// remains invalid and the caller retries when loads complete.
-		st.pendingLoads = ex.missing
+		e.wait(st, ex.missing)
 		return ex.missing
 	}
 	st.valid = true
@@ -167,9 +176,13 @@ func (ex *exec) run(idx int, b pattern.Binding, val *store.Value) {
 	// data (async fetch + restart context).
 	ex.missing += ex.e.ensureSource(src.Pat.Table(), cr)
 
-	// Fig 5: add updater from the containing range to the join status,
-	// before enumerating.
-	if ex.installUpd {
+	if ex.discovering() {
+		if idx == len(j.Sources)-1 {
+			return // no later source left to discover
+		}
+	} else if ex.installUpd {
+		// Fig 5: add updater from the containing range to the join
+		// status, before enumerating.
 		ex.e.installUpdater(ex.st, idx, b, cr)
 	}
 
@@ -208,6 +221,9 @@ func (ex *exec) run(idx int, b pattern.Binding, val *store.Value) {
 // emit produces one output for the tuple bound by b. Aggregates fold into
 // groups; copies install (or overlay) the value.
 func (ex *exec) emit(b pattern.Binding, val *store.Value) {
+	if ex.discovering() {
+		return
+	}
 	j := ex.ij.j
 	outKey, ok := j.Out.BuildKey(b)
 	if !ok || !ex.clip.Contains(outKey) {
@@ -241,7 +257,7 @@ func (ex *exec) install(outKey string, val *store.Value) {
 
 // flushAggs installs accumulated aggregate groups.
 func (ex *exec) flushAggs() {
-	if ex.aggs == nil {
+	if ex.aggs == nil || ex.discovering() {
 		return
 	}
 	// Deterministic order aids tests and keeps hint locality.
@@ -352,8 +368,7 @@ func (e *Engine) applyCheckDelta(st *JoinStatus, srcIdx int, key string, op Chan
 		}
 		ex.run(0, bk, nil)
 		if ex.missing > 0 {
-			st.pendingLoads += ex.missing
-			st.valid = false
+			e.wait(st, ex.missing)
 		}
 	case OpRemove, OpEvict:
 		if j.IsAggregate() {

@@ -82,7 +82,8 @@ func (e *Engine) ensurePresent(table string, pt *presenceTable, cr keys.Range) (
 // LoadComplete delivers the result of a BaseLoader.StartLoad: the fetched
 // pairs are installed (running maintenance like any other base write) and
 // the range is marked resident. Must be called from the engine's driving
-// goroutine. Queries whose restart contexts reference this range succeed
+// goroutine. The waiting restart contexts are released (see
+// releaseWaiters), so queries whose contexts reference this range succeed
 // on their next execution (§3.3: "the restarted query behaves as if
 // executed from scratch", and completed parts are simply re-used because
 // their join status ranges remained valid).
@@ -99,26 +100,17 @@ func (e *Engine) LoadComplete(table string, r keys.Range, kvs []KV) {
 		pr.loading = false
 		e.lruTouch2(&pr.lru, pr)
 	}
-	// Any join status waiting on this load stays invalid; clear its
-	// pending counter so the retry recomputes it.
-	for _, ij := range e.joins {
-		for sn := ij.status.First(); sn != nil; sn = sn.Next() {
-			if sn.Val.pendingLoads > 0 {
-				sn.Val.pendingLoads = 0
-				sn.Val.valid = false
-			}
-		}
-	}
+	e.releaseWaiters()
 	e.loadGen++
 }
 
 // LoadFailed abandons a StartLoad that could not be satisfied (the
 // remote owner refused — e.g. the range migrated away mid-fetch — or the
 // transport died): the loading record is dropped so nothing is falsely
-// marked resident, and the load generation advances so blocked readers
-// retry, which restarts the load — by then against a refreshed owner
-// map. Must be called from the engine's driving goroutine, like
-// LoadComplete.
+// marked resident, the waiting restart contexts are released, and the
+// load generation advances so blocked readers retry, which restarts the
+// load — by then against a refreshed owner map. Must be called from the
+// engine's driving goroutine, like LoadComplete.
 func (e *Engine) LoadFailed(table string, r keys.Range) {
 	pt := e.presence[table]
 	if pt == nil {
@@ -128,7 +120,37 @@ func (e *Engine) LoadFailed(table string, r keys.Range) {
 		pt.ranges.Delete(n)
 		n.Val.node = nil
 	}
+	e.releaseWaiters()
 	e.loadGen++
+}
+
+// wait records n more in-flight loads on st's restart context and
+// leaves st invalid, so the retry after they land recomputes it. A
+// status enters the waiter list when it starts waiting.
+func (e *Engine) wait(st *JoinStatus, n int) {
+	if st.pendingLoads == 0 {
+		e.waiters = append(e.waiters, st)
+	}
+	st.pendingLoads += n
+	st.valid = false
+}
+
+// releaseWaiters clears every restart context once a load lands or
+// fails: each waiting status stays invalid with no pending count, so
+// the next read recomputes it, and re-enlists it if some of its loads
+// are still in flight. Statuses detached while waiting (node == nil)
+// are gone from their join and are skipped. A landed load thus costs
+// O(waiters), however many statuses the cache holds.
+func (e *Engine) releaseWaiters() {
+	for i, st := range e.waiters {
+		if st.node != nil {
+			st.pendingLoads = 0
+			st.valid = false
+			e.stats.LoadRestarts++
+		}
+		e.waiters[i] = nil
+	}
+	e.waiters = e.waiters[:0]
 }
 
 // evictPresence drops a resident base range under memory pressure: its

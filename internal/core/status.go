@@ -48,7 +48,8 @@ type JoinStatus struct {
 	updaters []*Updater
 
 	// pendingLoads counts outstanding base-data fetches whose restart
-	// contexts point here (§3.3).
+	// contexts point here (§3.3). While it is positive the status is on
+	// the engine's waiter list.
 	pendingLoads int
 
 	node *rbtree.Node[*JoinStatus]
@@ -197,6 +198,13 @@ func (e *Engine) ensure(ij *installedJoin, rr keys.Range, maxStale time.Duration
 			} else {
 				e.applyLogs(st)
 			}
+			if st.pendingLoads > 0 {
+				// A logged delta found its data missing and started loads:
+				// the status now waits on them like a fresh execution.
+				pending += st.pendingLoads
+				live = append(live, st)
+				continue
+			}
 		}
 		if len(st.dirty) > 0 {
 			pending += e.recomputeDirty(st, rr, maxStale, now)
@@ -318,8 +326,7 @@ func (e *Engine) recomputeSpan(st *JoinStatus, r keys.Range) (pending int) {
 	ex.run(0, b, nil)
 	ex.flushAggs()
 	if ex.missing > 0 {
-		st.pendingLoads += ex.missing
-		st.valid = false // the retry recomputes the whole range
+		e.wait(st, ex.missing) // the retry recomputes the whole range
 		return ex.missing
 	}
 	return 0
